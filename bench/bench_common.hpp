@@ -1,10 +1,7 @@
 // Shared entry points of the mcs_bench multi-tool binary.
 //
 // Every figure/ablation sweep and every custom bench tool is reachable as
-// `mcs_bench <name> [options]`; the historical per-bench binaries
-// (bench_fig2a, bench_tightness, ...) are thin wrappers that forward into
-// the same driver via run_as_tool(), so they gained the sweep-runner
-// options (--shard=K/N, --resume, --log=...) for free.
+// `mcs_bench <name> [options]`.
 #pragma once
 
 #include <filesystem>
@@ -15,14 +12,14 @@
 
 namespace mcs::bench {
 
-/// Writes <name>.telemetry.json into the current directory when telemetry
-/// is enabled.  Shared by every bench tool that produces a CSV.
-inline void write_bench_telemetry(const std::string& name) {
+/// Writes <name>.telemetry.json into `out_dir` when telemetry is enabled.
+/// Shared by every bench tool that produces a CSV.
+inline void write_bench_telemetry(const std::string& name,
+                                  const std::filesystem::path& out_dir = ".") {
   if (!support::telemetry::enabled()) return;
-  const auto path =
-      std::filesystem::current_path() / (name + ".telemetry.json");
+  const auto path = out_dir / (name + ".telemetry.json");
   support::telemetry::write_json_file(path);
-  std::cout << "wrote " << name << ".telemetry.json\n";
+  std::cout << "wrote " << path.string() << "\n";
 }
 
 /// Custom (non-sweep-registry) bench tools.
@@ -33,8 +30,5 @@ int tool_ablation_solver_main();
 
 /// The mcs_bench driver: `mcs_bench <sweep|tool|list|merge> [options]`.
 int mcs_bench_main(int argc, char** argv);
-
-/// Wrapper-binary entry: behaves like `mcs_bench <tool> <argv[1..]>`.
-int run_as_tool(const char* tool, int argc, char** argv);
 
 }  // namespace mcs::bench

@@ -269,7 +269,7 @@ int run_registry_sweep(const exp::SweepEntry& entry, int argc, char** argv,
   exp::write_sweep_csv(spec, rows, cli.out_dir / (spec.name + ".csv"));
   std::cout << "wrote " << (cli.out_dir / (spec.name + ".csv")).string()
             << "\n";
-  write_bench_telemetry(spec.name);
+  write_bench_telemetry(spec.name, cli.out_dir);
   return 0;
 }
 
@@ -323,9 +323,7 @@ int run_merge(int argc, char** argv) {
     support::telemetry::count("exp.sweep.units_done", outcomes.size());
     if (errors != 0) support::telemetry::count("exp.sweep.errors", errors);
     if (retries != 0) support::telemetry::count("exp.sweep.retries", retries);
-    const auto path = out_dir / (spec.name + ".telemetry.json");
-    support::telemetry::write_json_file(path);
-    std::cout << "wrote " << path.string() << "\n";
+    write_bench_telemetry(spec.name, out_dir);
   }
   return 0;
 }
@@ -382,18 +380,6 @@ int mcs_bench_main(int argc, char** argv) {
   std::cerr << "mcs_bench: unknown command or sweep '" << command
             << "' (try: mcs_bench list)\n";
   return 2;
-}
-
-int run_as_tool(const char* tool, int argc, char** argv) {
-  std::vector<char*> forwarded;
-  forwarded.reserve(static_cast<std::size_t>(argc) + 2);
-  forwarded.push_back(argv[0]);
-  forwarded.push_back(const_cast<char*>(tool));
-  for (int i = 1; i < argc; ++i) {
-    forwarded.push_back(argv[i]);
-  }
-  return mcs_bench_main(static_cast<int>(forwarded.size()),
-                        forwarded.data());
 }
 
 }  // namespace mcs::bench

@@ -7,8 +7,8 @@
 //                           AnalysisEngine per call: no state survives
 //                           between the WP pass and the greedy rounds;
 //   * "engine, threads=1" — one AnalysisEngine per task set, WP verdict
-//                           injected as greedy round 0, formulations and
-//                           B&B sessions carried across rounds;
+//                           injected as greedy round 0, formulations
+//                           carried across rounds;
 //   * "engine, threads=N" — same, with per-task bounds fanned out on the
 //                           engine's thread pool.
 //
@@ -69,7 +69,8 @@ struct ModeResult {
 
 // The experiment-harness pipeline for one task set.  `engine == nullptr`
 // selects the legacy free functions (each call builds and discards its own
-// session state, and the greedy loop recomputes its WP-equivalent round 0).
+// formulation cache, and the greedy loop recomputes its WP-equivalent
+// round 0).
 Verdict analyze_set(const rt::TaskSet& tasks,
                     const analysis::AnalysisOptions& options,
                     analysis::AnalysisEngine* engine) {

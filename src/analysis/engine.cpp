@@ -87,10 +87,10 @@ void audit_formulation(const DelayMilp& milp, const rt::TaskSet& tasks,
   }
 }
 
-/// Debug audit hook: every incumbent a MILP session returns has travelled
-/// through presolve, node-level propagation, and postsolve — re-verify it
-/// against the pristine formulation model (MCS-F303/F304).  Folds to
-/// nothing when MCS_CHECK_LEVEL compiles to 0.
+/// Debug audit hook: every incumbent a MILP solve returns has travelled
+/// through presolve and postsolve — re-verify it against the pristine
+/// formulation model (MCS-F303/F304).  Folds to nothing when
+/// MCS_CHECK_LEVEL compiles to 0.
 void audit_incumbent(const lp::Model& model, const lp::MilpResult& res,
                      const rt::TaskSet& tasks, rt::TaskIndex i, Time t) {
   if (!check::enabled(check::kLevelLint) || !res.has_incumbent) {
@@ -163,17 +163,14 @@ rt::TaskSet scaled(const rt::TaskSet& tasks, ScalingDimension dimension,
 
 }  // namespace
 
-/// One cached delay-MILP formulation: the patchable model, its reusable
-/// branch & bound session, and the incumbent carried between solves.
-/// `session` references `milp.model`, so it is always reset before the
-/// model is replaced (and member order guarantees it dies first).
+/// One cached delay-MILP formulation: the patchable model, re-targeted in
+/// place between solves.  Only the model is cached; every solve is a
+/// stateless lp::solve_milp of its current state.
 struct FormulationEntry {
   bool valid = false;
   std::size_t num_intervals = 0;
   std::uint64_t ls_marking = 0;  ///< marking at the last build/patch
   DelayMilp milp;
-  std::unique_ptr<lp::MilpSolver> session;
-  std::vector<double> incumbent;  ///< last solve's values (may be empty)
 };
 
 struct TaskCacheEntry {
@@ -231,10 +228,7 @@ struct AnalysisEngine::Impl {
     std::vector<TaskSig> fresh = fingerprint_of(tasks);
     if (fresh == sig) return;
     sig = std::move(fresh);
-    // clear() before resize(): entries must be destroyed, not moved — a
-    // live MilpSolver session references its sibling model's address.
-    cache.clear();
-    cache.resize(sig.size());
+    cache.assign(sig.size(), TaskCacheEntry{});
   }
 
   DelayBound solve_delay(const rt::TaskSet& tasks, rt::TaskIndex i, Time t,
@@ -281,8 +275,7 @@ DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
   if (hit) {
     // The window length (budget RHS) and — for patchable formulations —
     // the LS marking (admission bounds, cancellation RHS) are the only
-    // moving parts; patch them in place.  The MilpSolver session then
-    // syncs exactly the changed data into its retained tableaus.
+    // moving parts; patch them in place.
     update_delay_milp(e.milp, tasks, i, t, options.ignore_ls);
     telemetry::count("analysis.milp_cache_hits");
     telemetry::count("analysis.engine.formulation_patches");
@@ -290,12 +283,10 @@ DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
       telemetry::count("analysis.engine.ls_delta_patches");
     }
   } else {
-    e.session.reset();  // references the model about to be replaced
     e.milp = build_delay_milp(tasks, i, t, fcase, options.ignore_ls,
                               /*patchable_ls=*/!options.ignore_ls);
     e.valid = true;
     e.num_intervals = intervals;
-    e.incumbent.clear();
     telemetry::count("analysis.milp_builds");
   }
   e.ls_marking = marking;
@@ -326,27 +317,17 @@ DelayBound AnalysisEngine::Impl::solve_delay(const rt::TaskSet& tasks,
     return out;
   }
 
-  // Solve options are re-derived from the caller's options every time (an
-  // engine outlives a single call, so they may change between solves);
-  // only the incumbent carries over, and only across compatible patches of
-  // the same model.  Branch the Constraint 13 max-selectors first (see
-  // DelayMilp::alpha_vars).
+  // Nothing but the model carries over between solves: the search depends
+  // only on the patched model and the caller's options, so a cached
+  // formulation gives the same bound as a fresh build.  Branch the
+  // Constraint 13 max-selectors first (see DelayMilp::alpha_vars).
   lp::MilpOptions milp_options = options.milp;
   milp_options.branch_priority.assign(e.milp.model.num_variables(), 0);
   for (const lp::VarId alpha : e.milp.alpha_vars) {
     milp_options.branch_priority[alpha.index] = 1;
   }
-  if (hit) {
-    milp_options.start_values = e.incumbent;
-  }
-  if (e.session == nullptr) {
-    e.session = std::make_unique<lp::MilpSolver>(e.milp.model);
-  }
-  const lp::MilpResult res = e.session->solve(milp_options);
+  const lp::MilpResult res = lp::solve_milp(e.milp.model, milp_options);
   audit_incumbent(e.milp.model, res, tasks, i, t);
-  if (res.has_incumbent) {
-    e.incumbent = res.values;
-  }
   out.nodes = res.nodes;
   out.lp_iterations = res.lp_iterations;
   switch (res.status) {

@@ -5,28 +5,29 @@
 // LS-marking loop re-analyzes the whole task set after every promotion, and
 // the evaluation sweeps (§VII) analyze each task set three ways.  The free
 // functions in response_time.hpp / greedy.hpp / schedulability.hpp throw
-// all solver state away between calls; an AnalysisEngine instead carries it
-// across calls for as long as the task-set *parameters* (everything except
-// the LS flags) stay the same:
+// all analysis state away between calls; an AnalysisEngine instead carries
+// the expensive-to-rebuild parts across calls for as long as the task-set
+// *parameters* (everything except the LS flags) stay the same:
 //
 //  * a per-(task, formulation case) DelayMilp cache whose models are built
 //    marking-agnostically (build_delay_milp patchable_ls) so they survive
 //    greedy LS-promotion rounds as bound/rhs patches instead of rebuilds;
-//  * one reusable lp::MilpSolver session per cached formulation, keeping
-//    the clamped root model and simplex tableaus alive across solves;
-//  * carried incumbents, so each branch & bound starts pruning from the
-//    previous round's solution;
 //  * memoized NPS bounds;
 //  * optional fan-out of per-task bounds onto a support::ThreadPool with
 //    one private engine per worker and a stable task-to-worker mapping, so
 //    results are index-merged and thread-count independent.
 //
+// Solver state is never carried: every delay MILP is solved by a stateless
+// lp::solve_milp of the cached model's current (patched) state — presolve
+// plus one fresh branch & bound — with no retained tableaus and no
+// incumbent from an earlier solve.
+//
 // Determinism: for a fixed task set and options, every engine method
 // returns the same result regardless of how much state the engine carried
-// in or how many threads it uses.  Each cached formulation's solve chain
-// (build -> patch -> solve sequences) depends only on the calls made for
-// that task, and the MilpSolver session guarantees each solve is
-// bit-identical to a fresh solve of the same patched model.
+// in or how many threads it uses — at any relative gap, not only gap 0.  A
+// patched formulation is the same model a fresh build gives (the level-2
+// audit hook checks this), and each solve is a function of that model and
+// the options alone.
 //
 // The legacy free functions remain as thin wrappers that construct a
 // throwaway engine, so existing call sites and tests are unaffected.
@@ -61,8 +62,8 @@ class AnalysisEngine {
 
   /// Engine-backed equivalents of the free functions of the same names.
   /// Each call first fingerprints `tasks` (all parameters except the LS
-  /// flags): an unchanged fingerprint reuses the cached formulations and
-  /// solver sessions, a changed one drops them.
+  /// flags): an unchanged fingerprint reuses the cached formulations, a
+  /// changed one drops them.
   TaskBoundResult bound_response_time(const rt::TaskSet& tasks,
                                       rt::TaskIndex i,
                                       const AnalysisOptions& options = {});

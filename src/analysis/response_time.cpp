@@ -25,10 +25,9 @@ TaskBoundResult bound_response_time(const rt::TaskSet& tasks,
                                     rt::TaskIndex i,
                                     const AnalysisOptions& options) {
   // The fixpoint iteration lives in AnalysisEngine (engine.cpp), which
-  // carries formulation caches and solver sessions across calls; a
-  // throwaway engine reproduces the historical one-shot behavior exactly
-  // (within one call the engine's per-(task, case) cache plays the role of
-  // the old local DelayMilpCache).
+  // carries formulation caches across calls; a throwaway engine reproduces
+  // the historical one-shot behavior exactly (within one call the engine's
+  // per-(task, case) cache plays the role of the old local DelayMilpCache).
   AnalysisEngine engine;
   return engine.bound_response_time(tasks, i, options);
 }

@@ -109,7 +109,7 @@ SweepSpec experiment_sweep_spec(const ExperimentConfig& config) {
     const rt::TaskSet tasks = gen::generate_task_set(gen_cfg, rng);
 
     // One analysis engine per task set: the three approaches share its
-    // formulation caches and solver sessions (serial inside — the sweep
+    // formulation caches and NPS memo (serial inside — the sweep
     // already parallelizes across units).
     analysis::AnalysisEngine engine;
 

@@ -41,28 +41,6 @@ std::vector<double> PostsolveMap::postsolve_primal(
   return out;
 }
 
-bool PostsolveMap::restrict_primal(const std::vector<double>& original,
-                                   double tol,
-                                   std::vector<double>* out) const {
-  if (original.size() != original_cols) {
-    return false;
-  }
-  std::vector<double> reduced(reduced_cols(), 0.0);
-  for (std::size_t c = 0; c < original_cols; ++c) {
-    if (col_map[c] == kRemoved) {
-      if (std::abs(original[c] - fixed_value[c]) > tol) {
-        return false;
-      }
-    } else {
-      const double scale =
-          col_scale.empty() ? 1.0 : col_scale[col_map[c]];
-      reduced[col_map[c]] = original[c] / scale;
-    }
-  }
-  *out = std::move(reduced);
-  return true;
-}
-
 std::vector<int> PostsolveMap::restrict_priorities(
     const std::vector<int>& original) const {
   std::vector<int> reduced(reduced_cols(), 0);

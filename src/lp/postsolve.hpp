@@ -50,13 +50,6 @@ struct PostsolveMap {
   std::vector<double> postsolve_primal(
       const std::vector<double>& reduced) const;
 
-  /// Restricts an original-space point (a warm-start incumbent) to reduced
-  /// space.  Returns false — leaving `out` untouched — when the point
-  /// disagrees with a fixing by more than `tol`: such a point is no longer
-  /// feasible after the fixings and must not seed the reduced search.
-  bool restrict_primal(const std::vector<double>& original, double tol,
-                       std::vector<double>* out) const;
-
   /// Restricts per-column data (branch priorities) to the reduced space.
   std::vector<int> restrict_priorities(const std::vector<int>& original) const;
 };

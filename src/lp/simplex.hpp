@@ -41,7 +41,7 @@ enum class SolveStatus {
 const char* to_string(SolveStatus status) noexcept;
 
 /// Simplex engine selection.  Both kernels implement the identical
-/// contract (cold solves, dual warm restarts, basis snapshots, bound/rhs
+/// contract (cold solves, dual warm restarts, basis snapshots, bound
 /// patching, primal+dual certificates); they differ only in the inner
 /// representation:
 ///  * kSparse — revised simplex on a compressed-sparse-column matrix with a
@@ -135,21 +135,6 @@ class SimplexSolver {
   /// with `lower <= upper` (always true for the branch & bound use case —
   /// integral variables are clamped to finite ranges at the root).
   void set_bounds(VarId v, double lower, double upper);
-
-  /// Overrides the (normalized) right-hand side of constraint `row` for
-  /// subsequent solves.  The solver bakes constraint data at construction,
-  /// so a caller that patches the model via `Model::set_rhs` must mirror
-  /// the change here; the next solve then starts cold from the patched
-  /// data (a pending warm tableau is discarded — RHS changes invalidate
-  /// the pivoted right-hand side wholesale, unlike bound shifts).
-  void set_rhs(std::size_t row, double rhs);
-
-  /// Discards the retained tableau so the next solve starts cold from the
-  /// current (possibly patched) data.  Session users call this to make a
-  /// solve independent of where the previous one left off — required for
-  /// bit-reproducible results when a solver is reused across `MilpSolver`
-  /// runs.
-  void invalidate();
 
   /// Cold solve: rebuilds the tableau from scratch (phase 1 + phase 2).
   LpSolution solve();

@@ -66,13 +66,10 @@ struct SimplexSolver::Impl {
   Impl& operator=(const Impl&) = delete;
 
   virtual void set_bounds(std::size_t var, double lower, double upper) = 0;
-  virtual void set_rhs(std::size_t row, double rhs) = 0;
-  /// Discards retained factorization/tableau state (next solve is cold).
-  virtual void invalidate() = 0;
   /// True when a warm restart has state to start from.
   virtual bool valid() const = 0;
   virtual std::size_t num_rows() const = 0;
-  /// Full cold solve from the current bound/rhs state.
+  /// Full cold solve from the current bound state.
   virtual LpSolution run_cold() = 0;
   /// One warm attempt: load/adopt `parent` when given, dual reoptimize,
   /// close with a primal phase, certify.  Always sets `sol.iterations` to

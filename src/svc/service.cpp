@@ -240,7 +240,7 @@ struct CoreState {
   /// Currently-admitted tasks, insertion order (canonicalized on analysis).
   std::vector<rt::Task> tasks;
   /// Persistent session: repeated analyses of the same membership reuse
-  /// cached MILP formulations and solver state across requests.
+  /// cached MILP formulations across requests.
   analysis::AnalysisEngine engine;
 };
 

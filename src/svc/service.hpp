@@ -5,9 +5,8 @@
 // over a newline-delimited JSON protocol.  State is partitioned per named
 // core: each core carries the currently-admitted rt::TaskSet and a
 // persistent analysis::AnalysisEngine, so repeated queries against the same
-// membership reuse cached MILP formulations and solver sessions instead of
-// rebuilding them (the engine fingerprint excludes LS flags; see
-// analysis/engine.hpp).  On top of that sits a global bounded LRU verdict
+// membership reuse cached MILP formulations instead of rebuilding them
+// (the engine fingerprint excludes LS flags; see analysis/engine.hpp).  On top of that sits a global bounded LRU verdict
 // cache keyed by canonical task-set fingerprint, giving O(1) answers for
 // any membership state the service has fully analyzed before.
 //

@@ -3,10 +3,11 @@
 // The load-bearing property is exactness: for any model, solving the
 // presolve-reduced problem and postsolving the incumbent must be
 // certificate-identical (status, objective, best bound, feasibility in
-// the pristine model) to solving the original directly — at gap 0, under
-// warm starts, and across a session's greedy-round patch chain.  The unit
-// tests pin each reduction's mechanics; the differential tests sweep
-// randomized delay MILPs and the committed workload corpus.
+// the pristine model) to solving the original directly — at gap 0, on
+// formulations re-targeted through update_delay_milp, and along a greedy
+// round's patch chain.  The unit tests pin each reduction's mechanics; the
+// differential tests sweep randomized delay MILPs and the committed
+// workload corpus.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,7 +24,6 @@
 #include "rt/io.hpp"
 #include "rt/task.hpp"
 #include "support/rng.hpp"
-#include "support/telemetry.hpp"
 
 namespace {
 
@@ -35,10 +35,10 @@ using mcs::lp::kInfinity;
 using mcs::lp::LinExpr;
 using mcs::lp::MilpOptions;
 using mcs::lp::MilpResult;
-using mcs::lp::MilpSolver;
 using mcs::lp::Model;
 using mcs::lp::Relation;
 using mcs::lp::Sense;
+using mcs::lp::SimplexKernel;
 using mcs::lp::solve_milp;
 using mcs::lp::SolveStatus;
 using mcs::lp::term;
@@ -278,11 +278,14 @@ TEST(Presolve, EquilibrationIsAnExactReparametrization) {
   ASSERT_NE(rb, kRemoved);
   EXPECT_DOUBLE_EQ(pre.map.col_scale[rb], 1.0);
 
-  // restrict -> postsolve is the identity on surviving columns: dividing
+  // reduce -> postsolve is the identity on surviving columns: dividing
   // and re-multiplying by a power of two loses nothing.
   const std::vector<double> point{1234.0, 1.5, 1.0};
-  std::vector<double> reduced;
-  ASSERT_TRUE(pre.map.restrict_primal(point, 1e-9, &reduced));
+  std::vector<double> reduced(pre.map.reduced_cols(), 0.0);
+  for (std::size_t c = 0; c < point.size(); ++c) {
+    const std::size_t r = pre.map.col_map[c];
+    if (r != kRemoved) reduced[r] = point[c] / pre.map.col_scale[r];
+  }
   const std::vector<double> back = pre.map.postsolve_primal(reduced);
   ASSERT_EQ(back.size(), point.size());
   for (std::size_t c = 0; c < point.size(); ++c) {
@@ -338,29 +341,6 @@ TEST(Presolve, IntegralBoundsAreRounded) {
   const MilpResult res = solve_milp(m);
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
   EXPECT_NEAR(res.objective, 3.0, kTol);
-}
-
-TEST(PostsolveMap, RestrictPrimalRejectsDisagreeingPoints) {
-  Model m;
-  const VarId x = m.add_continuous(0.0, 10.0, "x");
-  const VarId f = m.add_continuous(2.0, 2.0, "f");
-  m.add_constraint(LinExpr(x) + LinExpr(f), Relation::kLe, 10.0, "cap");
-  m.set_objective(Sense::kMaximize, LinExpr(x));
-
-  const Presolved pre = presolve_audited(m);
-  ASSERT_EQ(pre.map.col_map[f.index], kRemoved);
-
-  std::vector<double> agreeing(m.num_variables(), 0.0);
-  agreeing[f.index] = 2.0;
-  agreeing[x.index] = 1.0;
-  std::vector<double> out;
-  ASSERT_TRUE(pre.map.restrict_primal(agreeing, 1e-6, &out));
-  ASSERT_EQ(out.size(), pre.map.reduced_cols());
-  EXPECT_DOUBLE_EQ(out[pre.map.col_map[x.index]], 1.0);
-
-  std::vector<double> disagreeing = agreeing;
-  disagreeing[f.index] = 0.0;  // contradicts the fixing
-  EXPECT_FALSE(pre.map.restrict_primal(disagreeing, 1e-6, &out));
 }
 
 // --- Differential corpus: presolve on == presolve off -----------------------
@@ -420,17 +400,20 @@ TEST_P(PresolveDifferential, RandomDelayMilpsMatchWithAndWithoutPresolve) {
 }
 
 TEST_P(PresolveDifferential, WarmStartedSolvesMatch) {
+  // The engine's cache-hit re-solve: a patchable formulation is solved,
+  // then re-targeted in place to the next greedy round's marking (one task
+  // promoted to LS) and solved again.  Presolve must stay exact on the
+  // re-targeted model.
   Rng rng(GetParam() * 271 + 5);
   mcs::gen::GeneratorConfig cfg;
   cfg.num_tasks = 4;
   cfg.utilization = rng.uniform(0.3, 0.45);
   TaskSet tasks = mcs::gen::generate_task_set(cfg, rng);
-  tasks[0].latency_sensitive = true;
   const auto i = static_cast<TaskIndex>(
       rng.uniform_int(0, static_cast<std::int64_t>(tasks.size()) - 1));
-  const DelayMilp milp =
-      build_delay_milp(tasks, i, tasks[i].period / 2, FormulationCase::kNls,
-                       /*ignore_ls=*/false);
+  const Time t = tasks[i].period / 2;
+  DelayMilp milp = build_delay_milp(tasks, i, t, FormulationCase::kNls,
+                                    /*ignore_ls=*/false, /*patchable=*/true);
 
   MilpOptions opt;
   opt.max_nodes = 50000;
@@ -438,22 +421,21 @@ TEST_P(PresolveDifferential, WarmStartedSolvesMatch) {
   for (const VarId alpha : milp.alpha_vars) {
     opt.branch_priority[alpha.index] = 1;
   }
-  // First solve produces the incumbent the engine would carry; the seeded
-  // re-solve must stay exact with presolve restricting the start vector.
-  const MilpResult first = solve_milp(milp.model, opt);
-  if (!first.has_incumbent) return;
-  opt.start_values = first.values;
-  expect_presolve_exact(milp.model, opt, "warm-started delay MILP");
+  expect_presolve_exact(milp.model, opt, "cached delay MILP");
+  tasks[0].latency_sensitive = true;
+  update_delay_milp(milp, tasks, i, t, /*ignore_ls=*/false);
+  expect_presolve_exact(milp.model, opt, "re-targeted delay MILP");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PresolveDifferential,
                          ::testing::Range<std::uint64_t>(0, 10));
 
 TEST(PresolveSession, GreedyRoundPatchChainStaysExact) {
-  // Mimic the engine's cache hit path: one patchable formulation, a
-  // MilpSolver session, and LS-marking flips applied through
-  // update_delay_milp between solves.  Every session solve must match a
-  // fresh presolve-off solve of the current model state.
+  // The engine's cache-hit path: one patchable formulation, LS-marking
+  // flips applied through update_delay_milp between solves, and a
+  // stateless solve_milp of each patched state.  On both simplex kernels,
+  // every presolved solve must match the presolve-off solve, and equal bit
+  // for bit the solve of a formulation built from scratch for that state.
   Rng rng(0xC0FFEE);
   mcs::gen::GeneratorConfig cfg;
   cfg.num_tasks = 4;
@@ -464,7 +446,6 @@ TEST(PresolveSession, GreedyRoundPatchChainStaysExact) {
   DelayMilp milp = build_delay_milp(tasks, i, t, FormulationCase::kNls,
                                     /*ignore_ls=*/false, /*patchable=*/true);
 
-  MilpSolver session(milp.model);
   MilpOptions opt;
   opt.max_nodes = 50000;
   opt.branch_priority.assign(milp.model.num_variables(), 0);
@@ -479,74 +460,27 @@ TEST(PresolveSession, GreedyRoundPatchChainStaysExact) {
             static_cast<std::int64_t>(tasks.size()) - 1));
     tasks[flip].latency_sensitive = !tasks[flip].latency_sensitive;
     update_delay_milp(milp, tasks, i, t, /*ignore_ls=*/false);
+    const DelayMilp rebuilt =
+        build_delay_milp(tasks, i, t, FormulationCase::kNls,
+                         /*ignore_ls=*/false, /*patchable=*/true);
 
-    opt.use_presolve = true;
-    const MilpResult patched = session.solve(opt);
+    for (const SimplexKernel kernel :
+         {SimplexKernel::kSparse, SimplexKernel::kDense}) {
+      const std::string label =
+          "round " + std::to_string(round) +
+          (kernel == SimplexKernel::kSparse ? " sparse" : " dense");
+      opt.lp.kernel = kernel;
+      expect_presolve_exact(milp.model, opt, label.c_str());
 
-    MilpOptions fresh = opt;
-    fresh.use_presolve = false;
-    const MilpResult direct = solve_milp(milp.model, fresh);
-
-    const std::string label = "round " + std::to_string(round);
-    ASSERT_EQ(patched.status, direct.status) << label;
-    ASSERT_EQ(patched.has_incumbent, direct.has_incumbent) << label;
-    if (!direct.has_incumbent) continue;
-    const double scale = std::max(1.0, std::abs(direct.objective));
-    EXPECT_NEAR(patched.objective, direct.objective, kTol * scale) << label;
-    EXPECT_TRUE(milp.model.is_feasible(patched.values, 1e-6)) << label;
-    opt.start_values = patched.values;  // carry like the engine does
-  }
-}
-
-TEST(PresolveSession, RebuildKeepsTelemetryDeltasMonotone) {
-  // Regression: a structural rebuild (session.reset()) zeroes the inner
-  // BranchAndBound counters, but the per-solve snapshots used to keep the
-  // pre-reset totals, so the next solve's deltas wrapped around
-  // std::size_t and telemetry reported ~2^64 warm-start hits and node
-  // fixings.  Drive a patch chain whose LS flips force rebuilds and check
-  // every per-solve counter stays sane.
-  namespace telemetry = mcs::support::telemetry;
-  telemetry::set_enabled(true);
-  telemetry::reset();
-
-  Rng rng(0xC0FFEE);
-  mcs::gen::GeneratorConfig cfg;
-  cfg.num_tasks = 4;
-  cfg.utilization = 0.4;
-  TaskSet tasks = mcs::gen::generate_task_set(cfg, rng);
-  const TaskIndex i = static_cast<TaskIndex>(tasks.size() - 1);
-  const Time t = tasks[i].period / 2;
-  DelayMilp milp = build_delay_milp(tasks, i, t, FormulationCase::kNls,
-                                    /*ignore_ls=*/false, /*patchable=*/true);
-
-  MilpSolver session(milp.model);
-  MilpOptions opt;
-  opt.max_nodes = 50000;
-  opt.use_presolve = true;
-  for (int round = 0; round < 4; ++round) {
-    const std::size_t flip =
-        static_cast<std::size_t>(rng.uniform_int(0,
-            static_cast<std::int64_t>(tasks.size()) - 1));
-    tasks[flip].latency_sensitive = !tasks[flip].latency_sensitive;
-    update_delay_milp(milp, tasks, i, t, /*ignore_ls=*/false);
-    (void)session.solve(opt);
-  }
-
-  const auto snap = telemetry::snapshot();
-  ASSERT_NE(snap.counters.count("lp.presolve.session_rebuilds"), 0u);
-  // An underflowed delta lands near 2^64; every real per-solve count in a
-  // four-round chain over a 4-task model is tiny by comparison.
-  constexpr std::uint64_t kSane = std::uint64_t{1} << 40;
-  for (const char* key :
-       {"milp.warm_start_hits", "milp.warm_start_fallbacks",
-        "milp.bound_deltas_applied", "lp.presolve.node_fixings",
-        "lp.presolve.node_prunes"}) {
-    const auto it = snap.counters.find(key);
-    if (it != snap.counters.end()) {
-      EXPECT_LT(it->second, kSane) << key;
+      opt.use_presolve = true;
+      const MilpResult patched = solve_milp(milp.model, opt);
+      const MilpResult fresh = solve_milp(rebuilt.model, opt);
+      ASSERT_EQ(patched.status, fresh.status) << label;
+      EXPECT_EQ(patched.objective, fresh.objective) << label;
+      EXPECT_EQ(patched.best_bound, fresh.best_bound) << label;
+      EXPECT_EQ(patched.nodes, fresh.nodes) << label;
     }
   }
-  telemetry::reset();
 }
 
 TEST(PresolveCorpus, CommittedWorkloadFormulationsReduceAndStayExact) {

@@ -7,9 +7,9 @@
 // and bound through either.  The adversarial section drives both kernels
 // through the classic degeneracy traps (Beale's cycling example, the
 // Klee–Minty cube, equal-bounds-saturated models); the differential
-// section sweeps randomized delay MILPs, warm-started re-solves, a
-// session's patch chain, and the committed workload corpus, mirroring
-// test_lp_presolve.cpp.
+// section sweeps randomized delay MILPs, re-solves of re-targeted cached
+// formulations, a greedy round's patch chain, and the committed workload
+// corpus, mirroring test_lp_presolve.cpp.
 //
 // What is deliberately NOT asserted: cross-kernel identity of pivot
 // sequences, node counts, or vertex choices.  Degenerate LPs have many
@@ -42,7 +42,6 @@ using mcs::lp::LinExpr;
 using mcs::lp::LpSolution;
 using mcs::lp::MilpOptions;
 using mcs::lp::MilpResult;
-using mcs::lp::MilpSolver;
 using mcs::lp::Model;
 using mcs::lp::Relation;
 using mcs::lp::Sense;
@@ -262,17 +261,19 @@ TEST_P(SparseKernelDifferential, RandomDelayMilpsMatchAcrossKernels) {
 }
 
 TEST_P(SparseKernelDifferential, WarmStartedSolvesMatchAcrossKernels) {
+  // The engine's cache-hit re-solve: a patchable formulation re-targeted
+  // in place to the next greedy round's marking (one task promoted to LS)
+  // must solve identically through both kernels.
   Rng rng(GetParam() * 271 + 5);
   mcs::gen::GeneratorConfig cfg;
   cfg.num_tasks = 4;
   cfg.utilization = rng.uniform(0.3, 0.45);
   TaskSet tasks = mcs::gen::generate_task_set(cfg, rng);
-  tasks[0].latency_sensitive = true;
   const auto i = static_cast<TaskIndex>(
       rng.uniform_int(0, static_cast<std::int64_t>(tasks.size()) - 1));
-  const DelayMilp milp =
-      build_delay_milp(tasks, i, tasks[i].period / 2, FormulationCase::kNls,
-                       /*ignore_ls=*/false);
+  const Time t = tasks[i].period / 2;
+  DelayMilp milp = build_delay_milp(tasks, i, t, FormulationCase::kNls,
+                                    /*ignore_ls=*/false, /*patchable=*/true);
 
   MilpOptions opt;
   opt.max_nodes = 50000;
@@ -280,23 +281,21 @@ TEST_P(SparseKernelDifferential, WarmStartedSolvesMatchAcrossKernels) {
   for (const VarId alpha : milp.alpha_vars) {
     opt.branch_priority[alpha.index] = 1;
   }
-  // Seed both kernels with the same incumbent, as the engine's greedy
-  // rounds do; exactness must survive the seeded search.
-  const MilpResult first = solve_milp(milp.model, opt);
-  if (!first.has_incumbent) return;
-  opt.start_values = first.values;
-  expect_kernels_exact(milp.model, opt, "warm-started delay MILP");
+  expect_kernels_exact(milp.model, opt, "cached delay MILP");
+  tasks[0].latency_sensitive = true;
+  update_delay_milp(milp, tasks, i, t, /*ignore_ls=*/false);
+  expect_kernels_exact(milp.model, opt, "re-targeted delay MILP");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseKernelDifferential,
                          ::testing::Range<std::uint64_t>(0, 10));
 
 TEST(SparseKernelSession, GreedyRoundPatchChainMatchesDenseFreshSolves) {
-  // The engine's cache-hit path: one patchable formulation, a sparse-kernel
-  // MilpSolver session, LS-marking flips applied through update_delay_milp
-  // between solves.  Every session solve must match a fresh dense-kernel
-  // solve of the current model state — the strongest cross-kernel claim the
-  // warm-restart machinery has to honor.
+  // The engine's cache-hit path: one patchable formulation, LS-marking
+  // flips applied through update_delay_milp between solves, and a
+  // stateless solve_milp of each patched state.  With presolve on and off,
+  // every sparse-kernel solve must match the dense-kernel solve of the
+  // same state.
   Rng rng(0xC0FFEE);
   mcs::gen::GeneratorConfig cfg;
   cfg.num_tasks = 4;
@@ -307,11 +306,8 @@ TEST(SparseKernelSession, GreedyRoundPatchChainMatchesDenseFreshSolves) {
   DelayMilp milp = build_delay_milp(tasks, i, t, FormulationCase::kNls,
                                     /*ignore_ls=*/false, /*patchable=*/true);
 
-  MilpSolver session(milp.model);
   MilpOptions opt;
   opt.max_nodes = 50000;
-  opt.relative_gap = 0.0;
-  opt.lp.kernel = SimplexKernel::kSparse;
   opt.branch_priority.assign(milp.model.num_variables(), 0);
   for (const VarId alpha : milp.alpha_vars) {
     opt.branch_priority[alpha.index] = 1;
@@ -323,21 +319,12 @@ TEST(SparseKernelSession, GreedyRoundPatchChainMatchesDenseFreshSolves) {
     tasks[flip].latency_sensitive = !tasks[flip].latency_sensitive;
     update_delay_milp(milp, tasks, i, t, /*ignore_ls=*/false);
 
-    const MilpResult patched = session.solve(opt);
-
-    MilpOptions fresh = opt;
-    fresh.lp.kernel = SimplexKernel::kDense;
-    fresh.start_values.clear();
-    const MilpResult direct = solve_milp(milp.model, fresh);
-
-    const std::string label = "round " + std::to_string(round);
-    ASSERT_EQ(patched.status, direct.status) << label;
-    ASSERT_EQ(patched.has_incumbent, direct.has_incumbent) << label;
-    if (!direct.has_incumbent) continue;
-    const double scale = std::max(1.0, std::abs(direct.objective));
-    EXPECT_NEAR(patched.objective, direct.objective, kTol * scale) << label;
-    EXPECT_TRUE(milp.model.is_feasible(patched.values, 1e-6)) << label;
-    opt.start_values = patched.values;  // carry like the engine does
+    for (const bool presolve : {true, false}) {
+      const std::string label = "round " + std::to_string(round) +
+                                (presolve ? " presolve" : " direct");
+      opt.use_presolve = presolve;
+      expect_kernels_exact(milp.model, opt, label.c_str());
+    }
   }
 }
 

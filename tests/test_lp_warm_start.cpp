@@ -1,7 +1,7 @@
 // Differential tests for the warm-restart simplex path and the
 // warm-started branch & bound: whatever the warm machinery does, it must
 // agree with a cold solve on status and objective.  Also covers the
-// cached-formulation patch path (update_delay_milp) and incumbent seeding.
+// cached-formulation patch path (update_delay_milp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -241,40 +241,6 @@ TEST_P(WarmVsCold, BranchAndBoundSameOptimumWarmOnAndOff) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WarmVsCold,
                          ::testing::Range<std::uint64_t>(0, 20));
-
-TEST(MilpStartValues, FeasibleIncumbentSeedsTheSearch) {
-  // max x + y, x,y integer in [0,5], x + y <= 7.
-  Model m;
-  const VarId x = m.add_integer(0, 5, "x");
-  const VarId y = m.add_integer(0, 5, "y");
-  m.add_constraint(LinExpr(x) + LinExpr(y), Relation::kLe, 7.0);
-  m.set_objective(Sense::kMaximize, LinExpr(x) + LinExpr(y));
-
-  MilpOptions opt;
-  opt.start_values = {2.0, 5.0};  // feasible, objective 7 = optimum
-  const MilpResult res = solve_milp(m, opt);
-  ASSERT_EQ(res.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(res.objective, 7.0, kTol);
-}
-
-TEST(MilpStartValues, InfeasibleOrFractionalSeedIsIgnored) {
-  Model m;
-  const VarId x = m.add_integer(0, 5, "x");
-  const VarId y = m.add_integer(0, 5, "y");
-  m.add_constraint(LinExpr(x) + LinExpr(y), Relation::kLe, 7.0);
-  m.set_objective(Sense::kMaximize, LinExpr(x) + LinExpr(y));
-
-  MilpOptions opt;
-  opt.start_values = {9.0, 9.0};  // violates bounds and the constraint
-  MilpResult res = solve_milp(m, opt);
-  ASSERT_EQ(res.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(res.objective, 7.0, kTol);
-
-  opt.start_values = {0.5, 0.5};  // fractional: must not become incumbent
-  res = solve_milp(m, opt);
-  ASSERT_EQ(res.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(res.objective, 7.0, kTol);
-}
 
 Task make_task(std::string name, Time exec, Time mem, Time period,
                Time deadline, mcs::rt::Priority priority, bool ls = false) {

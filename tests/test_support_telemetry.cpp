@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -170,6 +174,69 @@ TEST_F(TelemetryTest, SnapshotMergesShardsOfExitedThreads) {
   worker.join();
   const auto snap = telemetry::snapshot();
   EXPECT_EQ(snap.counters.at("t.from_worker"), 7u);
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Every dotted string literal under src/ passed first to
+/// telemetry::count / record, to a ScopedTimer, or to simplex.cpp's
+/// `emit` forwarder (which calls count).
+std::set<std::string> emitted_keys() {
+  static const std::regex call(
+      R"re((?:\bcount|\brecord|\bemit|ScopedTimer\s+\w+)\s*\(\s*)re"
+      R"re("([a-z0-9_]+(?:\.[a-z0-9_]+)+)")re");
+  std::set<std::string> keys;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           std::string(MCS_SOURCE_DIR) + "/src")) {
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".cpp" && ext != ".hpp") continue;
+    const std::string text = read_file(entry.path());
+    for (std::sregex_iterator it(text.begin(), text.end(), call), end;
+         it != end; ++it) {
+      keys.insert((*it)[1].str());
+    }
+  }
+  return keys;
+}
+
+/// Keys named in the first column of docs/TELEMETRY.md's tables.
+std::set<std::string> documented_keys() {
+  static const std::regex key(R"(`([a-z0-9_]+(?:\.[a-z0-9_]+)+)`)");
+  std::set<std::string> keys;
+  std::istringstream doc(
+      read_file(std::string(MCS_SOURCE_DIR) + "/docs/TELEMETRY.md"));
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::string first_cell = line.substr(1, line.find('|', 1) - 1);
+    for (std::sregex_iterator it(first_cell.begin(), first_cell.end(), key),
+         end;
+         it != end; ++it) {
+      keys.insert((*it)[1].str());
+    }
+  }
+  return keys;
+}
+
+TEST(TelemetryDocs, EmittedAndDocumentedKeysAgree) {
+  // docs/TELEMETRY.md promises a row per key the library emits; adding a
+  // key without documenting it, or removing one and leaving its row,
+  // fails here.
+  const std::set<std::string> emitted = emitted_keys();
+  const std::set<std::string> documented = documented_keys();
+  ASSERT_FALSE(emitted.empty()) << "no telemetry calls found under src/";
+  for (const std::string& k : emitted) {
+    EXPECT_EQ(documented.count(k), 1u)
+        << "emitted telemetry key " << k << " has no docs/TELEMETRY.md row";
+  }
+  for (const std::string& k : documented) {
+    EXPECT_EQ(emitted.count(k), 1u)
+        << "docs/TELEMETRY.md documents " << k << ", which src/ never emits";
+  }
 }
 
 }  // namespace

@@ -357,3 +357,83 @@ TEST(SvcDifferential, ReanalysisAfterRemoveMatchesFreshEngine) {
   EXPECT_EQ(first_json.find("verdict")->find("schedulable")->as_bool(),
             again_json.find("verdict")->find("schedulable")->as_bool());
 }
+
+TEST(SvcDifferential, SessionDriftReproducerMatchesFreshEngine) {
+  // The `session-drift` reproducer (CHANGES.md), replayed on one core:
+  // admit p0, p1, x one request at a time, analyze greedy, analyze marked,
+  // remove all three, and repeat with fresh names (so no verdict comes
+  // from the cache).  Requests go through the one-thread worker pool as
+  // mcs_serve sends them; there each request's task set tends to land at
+  // the previous one's addresses, so the core's engine sees the same
+  // parameter set on consecutive requests and reuses its cached state.
+  // That state once included the incumbent carried out of the greedy
+  // rounds, and the marked re-solve bounded x at 31239203 where a fresh
+  // engine gives 31239204.
+  svc::ServiceConfig config;
+  config.threads = 1;
+  svc::AdmissionService service(std::move(config));
+  const auto send = [&service](const std::string& line) {
+    std::string response;
+    service.submit(line,
+                   [&response](std::string r) { response = std::move(r); });
+    service.drain();
+    return response;
+  };
+  const auto make = [](std::string name, rt::Time exec, rt::Time mem,
+                       rt::Time period, rt::Time deadline,
+                       rt::Priority prio) {
+    rt::Task t;
+    t.name = std::move(name);
+    t.exec = exec;
+    t.copy_in = mem;
+    t.copy_out = mem;
+    t.period = period;
+    t.deadline = deadline;
+    t.priority = prio;
+    return t;
+  };
+  for (int round = 0; round < 6; ++round) {
+    const std::string suffix = "_" + std::to_string(round);
+    const std::vector<rt::Task> tasks = {
+        make("p0" + suffix, 519099, 51910, 29120509, 25031799, 0),
+        make("p1" + suffix, 11260229, 1126023, 54556083, 27349555, 1),
+        make("x" + suffix, 3831503, 383150, 35303010, 33506061, 2)};
+    const std::string context = "round " + std::to_string(round);
+    const rt::TaskSet set(tasks);
+    const svc::AnalysisMode modes[] = {svc::AnalysisMode::kGreedy,
+                                       svc::AnalysisMode::kMarked};
+    const RefVerdict refs[] = {reference_verdict(set, modes[0]),
+                               reference_verdict(set, modes[1])};
+    // Requests back to back, checks afterwards: the sequence the service
+    // sees is exactly the reproducer's.
+    std::vector<std::string> admits;
+    for (const rt::Task& t : tasks) {
+      admits.push_back(send(
+          "{\"op\":\"admit\",\"core\":\"c\",\"task\":" + task_json(t) + "}"));
+    }
+    std::vector<std::string> analyses;
+    for (const svc::AnalysisMode mode : modes) {
+      analyses.push_back(send(
+          std::string("{\"op\":\"analyze\",\"core\":\"c\",\"mode\":\"") +
+          mode_name(mode) + "\"}"));
+    }
+    for (const std::string& line : admits) {
+      const Json admitted = svc::parse_json(line);
+      ASSERT_TRUE(admitted.find("ok")->as_bool()) << context;
+      ASSERT_TRUE(admitted.find("committed")->as_bool()) << context;
+    }
+    for (std::size_t m = 0; m < 2; ++m) {
+      const Json response = svc::parse_json(analyses[m]);
+      ASSERT_TRUE(response.find("ok")->as_bool()) << context;
+      expect_verdict_matches(response, refs[m], set, modes[m],
+                             context + " analyze/" + mode_name(modes[m]));
+    }
+    for (const rt::Task& t : tasks) {
+      ASSERT_TRUE(svc::parse_json(
+                      send("{\"op\":\"remove\",\"core\":\"c\","
+                                          "\"name\":\"" + t.name + "\"}"))
+                      .find("ok")->as_bool())
+          << context;
+    }
+  }
+}

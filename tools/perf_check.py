@@ -3,7 +3,7 @@
 
 Dispatches on the JSON schema of the fresh bench result:
 
-mcs-bench-solver-v1 (written by bench/bench_ablation_solver)
+mcs-bench-solver-v1 (written by `mcs_bench ablation_solver`)
   Compared against the committed BENCH_solver.json baseline; fails when
   the warm-started solver has regressed:
     * total simplex pivots of the warm strategies grew by more than the
@@ -28,7 +28,7 @@ mcs-bench-solver-v1 (written by bench/bench_ablation_solver)
   on a same-run, same-machine ratio, which is far more stable than any
   absolute time.
 
-mcs-bench-analysis-v1 (written by bench/bench_analysis)
+mcs-bench-analysis-v1 (written by `mcs_bench analysis`)
   Fails when the AnalysisEngine's single-thread end-to-end speedup over
   the legacy free functions fell below the floor.  This IS a timing
   gate, but on a same-run, same-machine ratio — both numerator and
